@@ -170,15 +170,6 @@ impl Data {
         }
     }
 
-    /// The same model over another database (a post-delta state).
-    pub fn with_db(&self, db: Arc<Database>) -> Data {
-        Data {
-            db,
-            graph: Arc::clone(&self.graph),
-            scm: self.scm.clone(),
-        }
-    }
-
     /// The table.
     pub fn table(&self) -> &Table {
         self.db.table(TABLE).expect("German-Syn has its table")
@@ -249,15 +240,7 @@ impl HowToCheck {
     /// the oracle value of the chosen update must reach the no-update
     /// objective. `objective` is a what-if with the how-to's `Output`
     /// whose updates are replaced by the chosen ones.
-    /// With `oracle_always` false the oracle runs only when every chosen
-    /// value passed the domain check (the operation has failed already
-    /// otherwise).
-    pub fn new(
-        reference: HowToResult,
-        data: &Data,
-        objective: &str,
-        oracle_always: bool,
-    ) -> Res<HowToCheck> {
+    pub fn new(reference: HowToResult, data: &Data, objective: &str) -> Res<HowToCheck> {
         let table = data.table();
         let mut notes = Vec::new();
         for u in &reference.chosen {
@@ -287,7 +270,7 @@ impl HowToCheck {
                 func: u.func.clone(),
             })
             .collect();
-        if !q.updates.is_empty() && (oracle_always || notes.is_empty()) {
+        if !q.updates.is_empty() {
             let exact = exact_whatif(&data.scm, table, &q)
                 .map_err(err("exact_whatif of the chosen update"))?;
             if exact < baseline {
@@ -405,19 +388,6 @@ impl Recorder {
         stats::median(self.get(kind))
     }
 
-    /// Percentile `p` of `kind`, with a note when the count cannot
-    /// support it as a tail.
-    pub fn tail(&self, kind: &str, p: f64) -> f64 {
-        let v = self.get(kind);
-        if stats::tail_percentile(v.len()).is_none_or(|best| best < p) {
-            eprintln!(
-                "note: {kind} has {} samples, too few to keep ten beyond p{p}",
-                v.len()
-            );
-        }
-        stats::percentile(v, p)
-    }
-
     /// Total attempted and failed operations.
     pub fn totals(&self) -> (u64, u64) {
         (self.attempted.values().sum(), self.failed.values().sum())
@@ -433,12 +403,16 @@ impl Recorder {
         }
     }
 
-    /// One line per sampled kind: count, median and quartiles.
+    /// One line per sampled kind: count, median, quartiles and the tail:
+    /// the highest percentile that keeps ten samples beyond it.
     pub fn print_samples(&self) {
         for (kind, v) in &self.samples {
             let q = stats::quartiles(v).unwrap_or([f64::NAN; 3]);
+            let tail = stats::tail_percentile(v.len()).map_or(String::new(), |p| {
+                format!(" p{p} {:.4}", hyper_trace::percentile(&stats::sorted(v), p))
+            });
             println!(
-                "samples {kind}: n {} median {:.4} q1 {:.4} q3 {:.4}",
+                "samples {kind}: n {} median {:.4} q1 {:.4} q3 {:.4}{tail}",
                 v.len(),
                 stats::median(v),
                 q[0],

@@ -21,14 +21,6 @@ pub struct Shape {
     pub rows: usize,
     /// The how-to every round runs cold and warm.
     pub howto: &'static str,
-    /// The how-to checked against `howto_bruteforce` once per run.
-    pub brute: &'static str,
-    /// Set-ups per run (`setup_s` is their median).
-    pub setup_reps: usize,
-    /// The percentile behind `whatif_warm_ms_tail`.
-    pub warm_tail_p: f64,
-    /// The percentile behind `request_ms_tail`.
-    pub request_tail_p: f64,
     /// Repetitions of each per-layer kernel in the traced run.
     pub layer_reps: usize,
 }
@@ -43,14 +35,26 @@ const HOWTO_BUCKETS: usize = 4;
 /// Times each working-set pair runs warm per round.
 const WARM_SWEEPS: usize = 4;
 
-/// Refresh deltas per run (seeded).
-const DELTAS: usize = 1;
+/// The how-to whose IP answer is checked against `howto_bruteforce` once
+/// per run (two attributes keep brute force cheap).
+const BRUTE_HOWTO: &str =
+    "Use german_syn HowToUpdate status, savings ToMaximize Count(Post(credit) = 'Good')";
 
 fn howto_options() -> HowToOptions {
     HowToOptions {
         buckets: HOWTO_BUCKETS,
         max_attrs_updated: Some(2),
     }
+}
+
+/// One set-up: its time in seconds, what it loaded, the session it built
+/// and that session's first answer.
+struct SetUp {
+    secs: f64,
+    db: Arc<Database>,
+    graph: Arc<CausalGraph>,
+    session: HyperSession,
+    first: f64,
 }
 
 /// Run one in-process workload; returns the run's counts and metrics.
@@ -72,28 +76,35 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
     };
 
     // Set-up: load the snapshot, build the session, answer the first
-    // what-if. Repeated; `setup_s` is the median.
-    let mut setups = Vec::new();
+    // what-if. Every round repeats it once; `setup_s` is the median.
     let mut loads = Vec::new();
-    let mut first_values = Vec::new();
-    let mut loaded = None;
-    for _ in 0..shape.setup_reps {
+    let mut setup = || -> Res<SetUp> {
         let t = Instant::now();
         let (snap, load_ms) = timed(|| Snapshot::load(&snap_path));
         let snap = snap.map_err(err("load snapshot"))?;
         let db = Arc::new(snap.database);
         let graph = Arc::new(snap.graph.ok_or("snapshot has no graph")?);
-        let warm = session(&db, &graph);
-        let first = warm
+        let s = session(&db, &graph);
+        let first = s
             .prepare(TEMPLATES[0].text)
             .and_then(|p| p.execute_whatif_with(&pair_bindings(COLD_PAIRS[1])))
             .map_err(err("first what-if"))?;
-        setups.push(t.elapsed().as_secs_f64());
         loads.push(load_ms);
-        first_values.push(first.value);
-        loaded = Some((db, graph, warm));
-    }
-    let (db, graph, warm) = loaded.ok_or("no set-up ran")?;
+        Ok(SetUp {
+            secs: t.elapsed().as_secs_f64(),
+            db,
+            graph,
+            session: s,
+            first: first.value,
+        })
+    };
+    let SetUp {
+        db,
+        graph,
+        session: warm,
+        first: first_value,
+        ..
+    } = setup()?;
     ensure(db.fingerprint() == data.db.fingerprint(), || {
         "the loaded snapshot differs from the saved data".into()
     })?;
@@ -119,9 +130,7 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
         memo.insert(p, r.value);
     }
     drop(refs);
-    for v in &first_values {
-        same_value(memo[&COLD_PAIRS[1]], *v, "set-up what-if")?;
-    }
+    same_value(memo[&COLD_PAIRS[1]], first_value, "set-up what-if")?;
     let prepared: Vec<PreparedQuery> = TEMPLATES
         .iter()
         .map(|t| warm.prepare(t.text).map_err(err("prepare")))
@@ -137,27 +146,19 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
     let batch_texts: Vec<String> = (0..PAIRS.len()).map(pair_text).collect();
 
     // The how-to: its first answer on the long-lived session is the
-    // reference every later answer must equal; on the checked query the
-    // IP answer must equal brute force.
+    // reference every later answer must equal. On a fresh session the IP
+    // answer to the two-attribute how-to must equal brute force.
     let howto_q = parse_howto(shape.howto)?;
     let reference = warm.howto(&howto_q).map_err(err("reference how-to"))?;
-    let brute_q = parse_howto(shape.brute)?;
-    let (ip, brute) = if shape.brute == shape.howto {
-        let brute = warm
-            .howto_bruteforce(&brute_q)
-            .map_err(err("howto_bruteforce"))?;
-        (reference.clone(), brute)
-    } else {
-        let s = session(&db, &graph);
-        let ip = s.howto(&brute_q).map_err(err("how-to"))?;
-        (
-            ip,
-            s.howto_bruteforce(&brute_q)
-                .map_err(err("howto_bruteforce"))?,
-        )
-    };
+    let brute_q = parse_howto(BRUTE_HOWTO)?;
+    let s = session(&db, &graph);
+    let ip = s.howto(&brute_q).map_err(err("how-to"))?;
+    let brute = s
+        .howto_bruteforce(&brute_q)
+        .map_err(err("howto_bruteforce"))?;
     same_howto(&brute, &ip, "IP how-to against brute force")?;
-    let howto_check = HowToCheck::new(reference, &data, OBJECTIVE, true)?;
+    drop(s);
+    let howto_check = HowToCheck::new(reference, &data, OBJECTIVE)?;
     if !howto_check.domain_note.is_empty() {
         println!(
             "known fault, counted as failed: how-to {}",
@@ -165,42 +166,37 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
         );
     }
 
-    // Refresh deltas and their references: a cold session over
-    // `delta.apply(db)`. The filtered pairs must not move at all.
+    // The refresh delta (a 1% append drawn from the seed) and its
+    // references: a cold session over `delta.apply(db)`. The filtered
+    // pairs must not move at all.
     let schema = db.table(TABLE).map_err(err("table"))?.schema().clone();
-    let deltas: Vec<DeltaBatch> = (0..DELTAS as u64)
-        .map(|j| {
-            let mut rng = Rng::new(args.seed, DELTA_STREAM.wrapping_add(j << 8));
-            Ok(DeltaBatch::new().append(senior_rows(&schema, shape.rows / 100, &mut rng)?))
-        })
-        .collect::<Res<_>>()?;
-    let mut refresh_refs: Vec<ValueMemo> = Vec::new();
-    for delta in &deltas {
-        let post = Arc::new(delta.apply(&db).map_err(err("apply delta"))?);
-        let cold = session(&post, &graph);
-        let mut refs = ValueMemo::new();
-        for p in RESERVE {
-            let v = cold
-                .whatif_text(&pair_text(p))
-                .map_err(err("post-delta reference"))?
-                .value;
-            if !TEMPLATES[PAIRS[p].0].whole {
-                same_value(memo[&p], v, "filtered view after an age-2 append")?;
-            }
-            refs.insert(p, v);
+    let delta = DeltaBatch::new().append(senior_rows(
+        &schema,
+        shape.rows / 100,
+        &mut Rng::new(args.seed, DELTA_STREAM),
+    )?);
+    let post = Arc::new(delta.apply(&db).map_err(err("apply delta"))?);
+    let cold = session(&post, &graph);
+    let mut refresh_ref = ValueMemo::new();
+    for p in RESERVE {
+        let v = cold
+            .whatif_text(&pair_text(p))
+            .map_err(err("post-delta reference"))?
+            .value;
+        if !TEMPLATES[PAIRS[p].0].whole {
+            same_value(memo[&p], v, "filtered view after an age-2 append")?;
         }
-        refresh_refs.push(refs);
+        refresh_ref.insert(p, v);
     }
+    drop((cold, post));
 
     // The measured rounds.
     let round_shape = RoundShape {
         pairs: PAIRS.len(),
         warm_sweeps: WARM_SWEEPS,
         cold_bindings: COLD_PAIRS.len(),
-        deltas: DELTAS,
     };
     let mut rec = Recorder::default();
-    let (mut batch_queries, mut batch_ms) = (0usize, 0.0f64);
     let mut last_refresh: Option<RefreshReport> = None;
     let stats_before = warm.stats();
     let start = Instant::now();
@@ -208,6 +204,12 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
     while rounds == 0 || start.elapsed() < Duration::from_secs(args.seconds) {
         for op in inproc_round(args.seed, rounds, round_shape) {
             match op {
+                Op::Setup => {
+                    let s = setup()?;
+                    same_value(memo[&COLD_PAIRS[1]], s.first, "set-up what-if")?;
+                    rec.sample("setup", s.secs);
+                    rec.count("setup", 1, 0);
+                }
                 Op::Cold(i) => {
                     let p = COLD_PAIRS[i];
                     let (text, s) = (pair_text(p), session(&db, &graph));
@@ -238,8 +240,7 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
                             QueryOutcome::HowTo(_) => return Err("batch returned a how-to".into()),
                         }
                     }
-                    batch_queries += batch_texts.len();
-                    batch_ms += t;
+                    rec.sample("batch_qps", batch_texts.len() as f64 / (t / 1e3));
                     rec.count("whatif_batch", batch_texts.len() as u64, 0);
                 }
                 Op::HowToCold => {
@@ -266,9 +267,9 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
                     rec.sample("request", t);
                     rec.count("explain", 1, 0);
                 }
-                Op::Refresh(d) => {
+                Op::Refresh => {
                     let t0 = Instant::now();
-                    let out = warm.refresh(&deltas[d]).map_err(err("refresh"))?;
+                    let out = warm.refresh(&delta).map_err(err("refresh"))?;
                     let ingest = ms(t0.elapsed());
                     let mut values = Vec::with_capacity(RESERVE.len());
                     for p in RESERVE {
@@ -277,7 +278,7 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
                     let t = ms(t0.elapsed());
                     for (p, v) in RESERVE.into_iter().zip(values) {
                         let v = v.map_err(err("re-served what-if"))?.value;
-                        same_value(refresh_refs[d][&p], v, "post-refresh what-if")?;
+                        same_value(refresh_ref[&p], v, "post-refresh what-if")?;
                     }
                     ensure(out.report.views_kept >= 2, || {
                         format!(
@@ -309,30 +310,16 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
 
     let mut m = Metrics::default();
     if !args.trace {
-        m.put("setup_s", crate::stats::median(&setups), "s");
+        m.put("setup_s", rec.median("setup"), "s");
         m.put("whatif_cold_ms_p50", rec.median("whatif_cold"), "ms");
         m.put("whatif_warm_ms_p50", rec.median("whatif_warm"), "ms");
-        m.put(
-            "whatif_warm_ms_tail",
-            rec.tail("whatif_warm", shape.warm_tail_p),
-            "ms",
-        );
         m.put("howto_cold_ms_p50", rec.median("howto_cold"), "ms");
         m.put("howto_warm_ms_p50", rec.median("howto_warm"), "ms");
         m.put("explain_ms_p50", rec.median("explain"), "ms");
         m.put("refresh_ms_p50", rec.median("refresh"), "ms");
         m.put("ingest_ms_p50", rec.median("ingest"), "ms");
-        m.put(
-            "throughput_qps",
-            batch_queries as f64 / (batch_ms / 1e3),
-            "1/s",
-        );
+        m.put("throughput_qps", rec.median("batch_qps"), "1/s");
         m.put("request_ms_p50", rec.median("request"), "ms");
-        m.put(
-            "request_ms_tail",
-            rec.tail("request", shape.request_tail_p),
-            "ms",
-        );
         m.put("peak_rss_mb", peak_rss_mb()?, "MiB");
         return Ok((rec, m));
     }
@@ -350,7 +337,7 @@ pub fn run(shape: &Shape, args: &Args) -> Res<(Recorder, Metrics)> {
         reps: shape.layer_reps,
         cold_backdoor: &cold_backdoor,
         cold_wall_ms: rec.median("whatif_cold"),
-        delta: &deltas[0],
+        delta: &delta,
         snapshot_load_ms: crate::stats::median(&loads),
         view_builds: per_round(|s| s.view_misses),
         estimator_trainings: misses,
@@ -376,7 +363,6 @@ fn howto_op(
 ) -> Res<()> {
     let ok = check.judge(&r.map_err(err("how-to"))?, kind)?;
     rec.sample(kind, t);
-    rec.sample("request", t);
     rec.count(kind, 1, u64::from(!ok));
     Ok(())
 }

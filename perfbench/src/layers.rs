@@ -17,9 +17,9 @@ use hyper_repro::storage::{col, lit, ops::matching_rows_on, DEFAULT_MORSEL_ROWS}
 use crate::common::*;
 use crate::stats::median;
 
-/// The serve-side split of one run: `/stats` queue wait and execute
+/// The serve-side split of the probe: `/stats` queue wait and execute
 /// medians, the client latency left over for HTTP framing, and texts
-/// parsed per template and data version.
+/// parsed for its one template.
 pub struct ServeSplit {
     /// `/stats` query-route queue-wait p50, ms.
     pub queue_wait_ms: f64,
@@ -27,18 +27,14 @@ pub struct ServeSplit {
     pub execute_ms: f64,
     /// Client `/query` latency p50 minus the two above, ms.
     pub http_ms: f64,
-    /// `texts_parsed` ÷ (distinct templates × data versions served): 1.0
-    /// when each template is prepared once per version.
+    /// `texts_parsed` for the one template and data version served: 1.0
+    /// when it is prepared once.
     pub parses_per_template: f64,
 }
 
 impl ServeSplit {
     /// Read the split from a live server's `/stats`.
-    pub fn from_stats(
-        client: &mut Client,
-        client_query_ms: &[f64],
-        template_versions: usize,
-    ) -> Res<ServeSplit> {
+    pub fn from_stats(client: &mut Client, client_query_ms: &[f64]) -> Res<ServeSplit> {
         let stats = client
             .request("GET", "/stats", None)
             .map_err(err("/stats"))?;
@@ -67,7 +63,7 @@ impl ServeSplit {
             queue_wait_ms,
             execute_ms,
             http_ms: median(client_query_ms) - queue_wait_ms - execute_ms,
-            parses_per_template: parsed / template_versions as f64,
+            parses_per_template: parsed,
         })
     }
 }
@@ -107,7 +103,7 @@ pub fn serve_probe(registry: &Path, memo: &ValueMemo) -> Res<ServeSplit> {
     for i in 0..40 {
         lat.push(query(COLD_PAIRS[i % COLD_PAIRS.len()])?);
     }
-    let split = ServeSplit::from_stats(&mut client, &lat, 1);
+    let split = ServeSplit::from_stats(&mut client, &lat);
     drop(client);
     server.shutdown();
     split

@@ -14,7 +14,6 @@ mod common;
 mod inproc;
 mod layers;
 mod plan;
-mod serve;
 mod stats;
 
 use crate::common::{Recorder, Res, DATA_SEED};
@@ -33,8 +32,7 @@ pub struct Args {
     pub data_seed: u64,
 }
 
-const USAGE: &str =
-    "usage: hyper-perfbench --workload <interactive_10k|analyst_100k|serve_mix_10k> \
+const USAGE: &str = "usage: hyper-perfbench --workload <interactive_10k|analyst_100k> \
                      --seed <n> --seconds <n> --trace <0|1> [--data-seed <n>]";
 
 fn parse_args(argv: &[String]) -> Res<Args> {
@@ -72,10 +70,6 @@ const INTERACTIVE_10K: inproc::Shape = inproc::Shape {
     rows: 10_000,
     howto: "Use german_syn HowToUpdate status, savings, housing, credit_amount \
             ToMaximize Count(Post(credit) = 'Good')",
-    brute: "Use german_syn HowToUpdate status, savings ToMaximize Count(Post(credit) = 'Good')",
-    setup_reps: 9,
-    warm_tail_p: 99.0,
-    request_tail_p: 99.0,
     layer_reps: 20,
 };
 
@@ -83,10 +77,6 @@ const ANALYST_100K: inproc::Shape = inproc::Shape {
     name: "analyst_100k",
     rows: 100_000,
     howto: "Use german_syn HowToUpdate status, savings ToMaximize Count(Post(credit) = 'Good')",
-    brute: "Use german_syn HowToUpdate status, savings ToMaximize Count(Post(credit) = 'Good')",
-    setup_reps: 5,
-    warm_tail_p: 90.0,
-    request_tail_p: 95.0,
     layer_reps: 5,
 };
 
@@ -94,15 +84,14 @@ fn run(args: &Args) -> Res<(Recorder, common::Metrics)> {
     match args.workload.as_str() {
         "interactive_10k" => inproc::run(&INTERACTIVE_10K, args),
         "analyst_100k" => inproc::run(&ANALYST_100K, args),
-        "serve_mix_10k" => serve::run(args),
         other => Err(format!("unknown workload {other:?}\n{USAGE}")),
     }
 }
 
 fn main() {
     // A fixed thread budget whatever the host: the process-wide pool (used
-    // by the server's sessions) gets one worker plus the caller. Set before
-    // anything reads it.
+    // by the traced run's probe server) gets one worker plus the caller.
+    // Set before anything reads it.
     std::env::set_var("HYPER_RUNTIME_WORKERS", "1");
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let outcome = parse_args(&argv).and_then(|args| {

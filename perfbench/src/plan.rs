@@ -48,6 +48,8 @@ pub const DELTA_STREAM: u64 = 2;
 /// One operation of an in-process round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
+    /// Load the snapshot, build a session and answer the first what-if.
+    Setup,
     /// The first what-if on a fresh isolated session (binding index of
     /// the cold template).
     Cold(usize),
@@ -61,8 +63,8 @@ pub enum Op {
     HowToWarm,
     /// Plan-only explain on a fresh isolated session (binding index).
     Explain(usize),
-    /// Refresh after a 1% append (delta index), then re-serve.
-    Refresh(usize),
+    /// Refresh after a 1% append, then re-serve.
+    Refresh,
 }
 
 /// Shape of an in-process round.
@@ -74,14 +76,12 @@ pub struct RoundShape {
     pub warm_sweeps: usize,
     /// Bindings of the cold template.
     pub cold_bindings: usize,
-    /// Distinct refresh deltas.
-    pub deltas: usize,
 }
 
 impl RoundShape {
     /// Operations in one round (every round has the same multiset).
     pub fn ops_per_round(&self) -> usize {
-        self.cold_bindings + self.pairs * self.warm_sweeps + 5
+        self.cold_bindings + self.pairs * self.warm_sweeps + 6
     }
 }
 
@@ -94,72 +94,16 @@ pub fn inproc_round(seed: u64, round: u64, shape: RoundShape) -> Vec<Op> {
     for _ in 0..shape.warm_sweeps {
         ops.extend((0..shape.pairs).map(Op::Warm));
     }
-    ops.push(Op::Batch);
-    ops.push(Op::HowToCold);
-    ops.push(Op::HowToWarm);
-    ops.push(Op::Explain(rng.below(shape.cold_bindings)));
-    ops.push(Op::Refresh(rng.below(shape.deltas)));
+    ops.extend([
+        Op::Setup,
+        Op::Batch,
+        Op::HowToCold,
+        Op::HowToWarm,
+        Op::Explain(rng.below(shape.cold_bindings)),
+        Op::Refresh,
+    ]);
     rng.shuffle(&mut ops);
     ops
-}
-
-/// One round of the serving mix: what each of the two connections sends
-/// in the read phase and in the write phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeRound {
-    /// Read phase, per connection: working-set pair indices, with
-    /// `None` standing for the round's one `/explain` (connection 0).
-    pub read: [Vec<Option<usize>>; 2],
-    /// Write phase, connection 0: the whole-table pairs re-served after
-    /// the ingest (the first one is the cold what-if).
-    pub reserve: Vec<usize>,
-    /// Write phase, connection 1: filtered pairs queried alongside the
-    /// ingest.
-    pub alongside: Vec<usize>,
-}
-
-/// Round `round` of the serving mix under `seed`. `whole` and
-/// `filtered` split the working-set pair indices; `cold_first` lists
-/// the pairs eligible to be the first (cold) query after an ingest. Each
-/// connection reads the working set `read_sweeps` times; connection 1
-/// sends the filtered pairs `alongside_sweeps` times beside the ingest.
-pub fn serve_round(
-    seed: u64,
-    round: u64,
-    whole: &[usize],
-    filtered: &[usize],
-    cold_first: &[usize],
-    read_sweeps: usize,
-    alongside_sweeps: usize,
-) -> ServeRound {
-    let mut rng = Rng::new(seed, ROUND_STREAM.wrapping_add(round << 8));
-    let mut read: [Vec<Option<usize>>; 2] = Default::default();
-    for (i, lane) in read.iter_mut().enumerate() {
-        for _ in 0..read_sweeps {
-            lane.extend(whole.iter().chain(filtered).map(|&p| Some(p)));
-        }
-        // One `/explain` per round: the first plan after an ingest (a
-        // second one would find the decomposition cached).
-        if i == 0 {
-            lane.push(None);
-        }
-        rng.shuffle(lane);
-    }
-    let first = cold_first[rng.below(cold_first.len())];
-    let mut rest: Vec<usize> = whole.iter().copied().filter(|&p| p != first).collect();
-    rng.shuffle(&mut rest);
-    let mut reserve = vec![first];
-    reserve.extend(rest);
-    let mut alongside: Vec<usize> = Vec::new();
-    for _ in 0..alongside_sweeps {
-        alongside.extend_from_slice(filtered);
-    }
-    rng.shuffle(&mut alongside);
-    ServeRound {
-        read,
-        reserve,
-        alongside,
-    }
 }
 
 #[cfg(test)]
@@ -170,17 +114,12 @@ mod tests {
         pairs: 8,
         warm_sweeps: 2,
         cold_bindings: 2,
-        deltas: 2,
     };
 
     #[test]
     fn same_seed_same_sequence() {
         for round in 0..20 {
             assert_eq!(inproc_round(7, round, SHAPE), inproc_round(7, round, SHAPE));
-            assert_eq!(
-                serve_round(7, round, &[0, 1, 2], &[3, 4], &[0, 1], 2, 3),
-                serve_round(7, round, &[0, 1, 2], &[3, 4], &[0, 1], 2, 3)
-            );
         }
         let mut a = Rng::new(42, DELTA_STREAM);
         let mut b = Rng::new(42, DELTA_STREAM);
@@ -207,7 +146,8 @@ mod tests {
             Op::HowToCold => (3, 0),
             Op::HowToWarm => (4, 0),
             Op::Explain(_) => (5, 0),
-            Op::Refresh(_) => (6, 0),
+            Op::Refresh => (6, 0),
+            Op::Setup => (7, 0),
         };
         let canon = |seed, round| {
             let mut v: Vec<_> = inproc_round(seed, round, SHAPE).iter().map(key).collect();
@@ -221,21 +161,6 @@ mod tests {
                 assert_eq!(canon(seed, round), first);
             }
         }
-    }
-
-    #[test]
-    fn serve_round_shape() {
-        let r = serve_round(5, 3, &[0, 1, 2], &[3, 4], &[0, 1], 2, 3);
-        for (i, lane) in r.read.iter().enumerate() {
-            let explains = usize::from(i == 0);
-            assert_eq!(lane.len(), 10 + explains);
-            assert_eq!(lane.iter().filter(|p| p.is_none()).count(), explains);
-        }
-        assert!(r.reserve[0] <= 1);
-        let mut rs = r.reserve.clone();
-        rs.sort();
-        assert_eq!(rs, vec![0, 1, 2]);
-        assert_eq!(r.alongside.len(), 6);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Summary statistics over per-operation samples: the median, the
 //! quartiles (the same "exclusive" method as Python's
-//! `statistics.quantiles(values, n=4)`), interpolated percentiles, and
-//! the choice of tail percentile a sample count can support.
+//! `statistics.quantiles(values, n=4)`), and the choice of tail
+//! percentile a sample count can support. Percentiles themselves come
+//! from `hyper_trace::percentile`.
 
 /// Percentiles a `_tail` metric may report, highest first.
 pub const TAIL_LADDER: [f64; 5] = [99.9, 99.0, 95.0, 90.0, 75.0];
@@ -9,7 +10,8 @@ pub const TAIL_LADDER: [f64; 5] = [99.9, 99.0, 95.0, 90.0, 75.0];
 /// Samples that must lie beyond a tail percentile for it to be reported.
 pub const MIN_BEYOND_TAIL: f64 = 10.0;
 
-fn sorted(values: &[f64]) -> Vec<f64> {
+/// `values` in ascending order.
+pub fn sorted(values: &[f64]) -> Vec<f64> {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     v
@@ -46,19 +48,6 @@ pub fn quartiles(values: &[f64]) -> Option<[f64; 3]> {
     Some(out)
 }
 
-/// The `p`-th percentile (0–100) with linear interpolation between
-/// closest ranks. `NaN` when `values` is empty.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    let v = sorted(values);
-    if v.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (p / 100.0).clamp(0.0, 1.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    v[lo] + (v[hi] - v[lo]) * (rank - lo as f64)
-}
-
 /// The highest percentile of [`TAIL_LADDER`] that keeps at least
 /// [`MIN_BEYOND_TAIL`] of `n` samples beyond it; `None` below forty
 /// samples, where no percentile is a tail.
@@ -93,16 +82,6 @@ mod tests {
         // statistics.quantiles([5, 9], n=4) == [4.0, 7.0, 10.0]
         assert_eq!(quartiles(&[9.0, 5.0]), Some([4.0, 7.0, 10.0]));
         assert_eq!(quartiles(&[1.0]), None);
-    }
-
-    #[test]
-    fn percentile_interpolates_between_ranks() {
-        let v = [10.0, 20.0, 30.0, 40.0, 50.0];
-        assert_eq!(percentile(&v, 0.0), 10.0);
-        assert_eq!(percentile(&v, 50.0), 30.0);
-        assert_eq!(percentile(&v, 100.0), 50.0);
-        assert_eq!(percentile(&v, 75.0), 40.0);
-        assert_eq!(percentile(&v, 87.5), 45.0);
     }
 
     #[test]

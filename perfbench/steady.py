@@ -8,8 +8,7 @@ plus the share of failed operations.
     python3 perfbench/steady.py --workloads analyst_100k --runs 5 --first-seed 100
 
 Run from the repository root. Workloads are interleaved run by run, so
-a slow stretch of the host falls on all of them alike. `--json` writes
-every run's result line to a file.
+a slow stretch of the host falls on all of them alike.
 """
 
 import argparse
@@ -20,12 +19,12 @@ import sys
 
 COMMAND = ["cargo", "run", "--release", "--offline", "--quiet",
            "--manifest-path", "perfbench/Cargo.toml", "--"]
-WORKLOADS = ["interactive_10k", "analyst_100k", "serve_mix_10k"]
+WORKLOADS = ["interactive_10k", "analyst_100k"]
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = COMMAND + ["--workload", workload, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", str(trace)]
+                     "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         sys.exit(f"{workload} seed {seed} exited {out.returncode}:\n{out.stderr}")
@@ -52,8 +51,6 @@ def main():
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--trace", type=int, default=0)
-    ap.add_argument("--json", help="write every result line to this file")
     args = ap.parse_args()
     workloads = args.workloads.split(",")
     results = {w: [] for w in workloads}
@@ -61,13 +58,10 @@ def main():
         order = workloads if i % 2 == 0 else list(reversed(workloads))
         for w in order:
             seed = args.first_seed + i
-            results[w].append(run_once(w, seed, args.seconds, args.trace))
+            results[w].append(run_once(w, seed, args.seconds))
             print(f"run {i + 1}/{args.runs} {w} seed {seed} done", file=sys.stderr)
     for w in workloads:
         summarize(w, results[w])
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(results, f, indent=1)
 
 
 if __name__ == "__main__":
